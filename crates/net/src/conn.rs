@@ -5,19 +5,24 @@
 //! bytes back through the completion queue). The machine has four states:
 //!
 //! ```text
-//!          frame complete                dispatch done
-//!   Idle ──────────────► Dispatching ─────────────────► Writing
-//!    ▲  ◄── Reading ◄──┘    (worker owns the request)      │
-//!    │        partial                                       │ wbuf drained
-//!    └──────────────────────────────────────────────────────┘
+//!   Idle ── frame complete, served inline ──────────► Writing
+//!    │ ▲                                              ▲    │
+//!    │ └─ partial frame: stays Idle ("Reading")       │    │
+//!    │                                                │    │
+//!    └─ gate full ─► Dispatching ─ pooled step done ──┘    │
+//!                   (worker owns the request)              │
+//!   Idle ◄─────────────── wbuf drained ────────────────────┘
 //! ```
 //!
 //! `Reading` is implicit: a conn with a non-empty read buffer and no
-//! complete frame is idle-with-partial-input. Because the blocking client
-//! sends one request and waits for the response, the machine admits at
-//! most one in-flight dispatch per connection — bytes that arrive while
-//! `Dispatching` stay buffered and are parsed only after the response is
-//! written, which also bounds per-connection memory to one frame each way.
+//! complete frame is idle-with-partial-input. A complete frame is served
+//! inline and goes straight to `Writing`; only a step that finds the
+//! admission gate full passes through `Dispatching`. Because the blocking
+//! client sends one request and waits for the response, the machine
+//! admits at most one in-flight dispatch per connection — bytes that
+//! arrive while `Dispatching` or `Writing` stay buffered and are parsed
+//! only after the response is written, which also bounds per-connection
+//! memory to one frame each way.
 
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
@@ -26,6 +31,7 @@ use std::net::TcpStream;
 use dln_fault::DlnResult;
 use dln_serve::SessionId;
 
+use crate::poller::Interest;
 use crate::wire;
 
 /// Lifecycle phase of one connection.
@@ -33,7 +39,9 @@ use crate::wire;
 pub enum ConnState {
     /// Waiting for (more of) a request frame.
     Idle,
-    /// A complete request is with the worker pool; the socket is parked.
+    /// A step found the admission gate full and is with the worker pool;
+    /// the socket is parked. Requests served inline on the reactor skip
+    /// this state.
     Dispatching,
     /// A response is being flushed; more [`write_ready`](Conn::write_ready)
     /// calls drain `wbuf`.
@@ -60,6 +68,9 @@ pub struct Conn {
     pub stream: TcpStream,
     /// Lifecycle phase.
     pub state: ConnState,
+    /// The interest the socket is registered with; the reactor registers
+    /// new conns for [`Interest::READ`].
+    pub interest: Interest,
     /// Bytes read but not yet parsed into a frame.
     rbuf: Vec<u8>,
     /// Encoded response being flushed, plus the flush offset.
@@ -82,6 +93,7 @@ impl Conn {
         Conn {
             stream,
             state: ConnState::Idle,
+            interest: Interest::READ,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             woff: 0,

@@ -18,11 +18,13 @@
 //!   IEEE-754 bits, so remote responses are `to_bits`-identical to local
 //!   ones).
 //! * [`conn`] — the per-connection state machine (idle → reading →
-//!   dispatching → writing), with buffer caps so a hostile peer can cost
+//!   writing, through dispatching when a step is pooled), with buffer caps so a hostile peer can cost
 //!   at most one frame of memory.
-//! * [`server`] — [`NetServer`]: the reactor thread, a fixed worker pool
-//!   running [`NavService::dispatch`](dln_serve::NavService::dispatch),
-//!   accept-time shedding that composes with the admission gate, an
+//! * [`server`] — [`NetServer`]: the reactor thread, which serves a
+//!   request inline through
+//!   [`NavService::try_dispatch`](dln_serve::NavService::try_dispatch)
+//!   whenever the admission gate has room, a fixed worker pool for the
+//!   steps that must queue in the gate, accept-time shedding that composes with the admission gate, an
 //!   idle-TTL sweep on the injected clock, a per-session exactly-once
 //!   response cache, and graceful shutdown that finalizes sessions into
 //!   the navigation log.

@@ -11,8 +11,8 @@
 //!   ([`Interest::READ`] / [`Interest::WRITE`], level-triggered),
 //! * block for readiness with a timeout, yielding `(token, readable,
 //!   writable)` events,
-//! * a self-pipe [`Waker`] so worker threads (which finish dispatches
-//!   off-loop) can interrupt a blocked `wait`.
+//! * a self-pipe [`Waker`] so worker threads (which finish the pooled
+//!   dispatches off-loop) can interrupt a blocked `wait`.
 //!
 //! Level-triggered is a deliberate choice over edge-triggered: the
 //! conn state machine reads/writes until `WouldBlock` anyway, and
@@ -32,7 +32,8 @@ pub struct Interest(u8);
 
 impl Interest {
     /// No data interest: only hangup/error conditions (used to park a
-    /// descriptor while its request is with the worker pool).
+    /// descriptor while its request waits in the worker pool for an
+    /// admission permit; requests served inline never park).
     pub const NONE: Interest = Interest(0b00);
     /// Wake when the descriptor is readable (or a peer hung up).
     pub const READ: Interest = Interest(0b01);
@@ -412,7 +413,8 @@ mod pipe_ffi {
 
 /// The classic self-pipe trick: the reactor registers the read end with
 /// its [`Poller`]; any thread writes one byte to the write end to
-/// interrupt a blocked `wait`. Both ends are nonblocking, so a full pipe
+/// interrupt a blocked `wait` — the worker pool does, after each pooled
+/// dispatch. Both ends are nonblocking, so a full pipe
 /// (already-pending wake) is a no-op, never a stall.
 pub struct Waker {
     read_fd: RawFd,

@@ -1,33 +1,42 @@
 //! The network server: one reactor thread multiplexing every connection
-//! over epoll/kqueue, plus a small fixed worker pool that runs the actual
-//! [`NavService::dispatch`] calls so a slow navigation step never blocks
-//! the event loop.
+//! over epoll/kqueue, which serves requests inline, plus a small fixed
+//! worker pool for the steps that would have to wait in the admission
+//! gate.
 //!
 //! ## Division of labor
 //!
 //! The **reactor** owns every socket. It accepts, reads, frames, and
-//! writes; it never executes a navigation step. A complete request frame
-//! becomes a [`Job`] on the worker channel and the connection parks in
-//! `Dispatching` (interest [`Interest::NONE`] — level-triggered polling
-//! would otherwise spin on buffered bytes we refuse to parse mid-flight).
+//! writes, and it runs a request itself whenever that cannot block:
+//! [`NavService::try_dispatch`] serves `Ping`, `Open`, `Path` and `Close`
+//! outright and admits a `Step` only if the admission gate has a free
+//! permit. The response is queued and flushed at once, so an inline
+//! request never crosses a thread and never changes the socket's
+//! interest.
 //!
-//! **Workers** pull jobs, run `dispatch`, encode + frame the response, and
-//! push the finished bytes onto the completion queue, then wake the
+//! **Workers** take only what the reactor could not run: a `Step` that
+//! found every permit taken becomes a [`Job`] on the worker channel, the
+//! connection parks in `Dispatching` (interest [`Interest::NONE`] —
+//! level-triggered polling would otherwise spin on buffered bytes we
+//! refuse to parse mid-flight), and a worker runs
+//! [`NavService::dispatch`], which queues in the gate. The worker frames
+//! the response, pushes it onto the completion queue and wakes the
 //! reactor through the self-pipe. Workers never touch a socket, so there
 //! is no locking around connection state at all — the reactor is the sole
-//! owner.
+//! owner. Both paths apply their result through the same completion step;
+//! [`NetStats::pooled`] counts the requests that took the pool.
 //!
 //! ## Exactly-once steps
 //!
-//! Every envelope carries a client-chosen sequence number. The workers
-//! keep a per-session cache of `(last seq, framed response)` and consult
+//! Every envelope carries a client-chosen sequence number. The server
+//! keeps a per-session cache of `(last seq, framed response)` and consults
 //! it *before* dispatching: a resent `Step` (same session, same seq —
 //! what the client does after a torn connection) returns the cached bytes
 //! without re-applying the step. The cache entry is written **before**
-//! the response is handed to the reactor, so even `net.conn_drop` (kill
-//! the conn after dispatch, before the write) cannot lose a step: the
-//! reconnecting client resends, hits the cache, and observes the
-//! bit-identical response it would have gotten the first time.
+//! the response is queued on the conn, on either path, so even
+//! `net.conn_drop` (kill the conn after dispatch, before the write)
+//! cannot lose a step: the reconnecting client resends, hits the cache,
+//! and observes the bit-identical response it would have gotten the first
+//! time.
 //!
 //! ## Backpressure, in layers
 //!
@@ -45,7 +54,7 @@
 //!
 //! ## Shutdown
 //!
-//! [`NetServer::shutdown`] stops accepting, drains in-flight dispatches,
+//! [`NetServer::shutdown`] stops accepting, drains pooled dispatches,
 //! flushes pending responses (bounded), then closes every connection's
 //! sessions through [`NavService::close_session`] — finalizing their
 //! walks into the [`NavigationLog`](dln_org::NavigationLog) so feedback
@@ -89,7 +98,8 @@ pub struct NetConfig {
     /// Connection cap; accepts past it are shed with an `Overloaded`
     /// frame (`DLN_NET_MAX_CONNS`, default 16384).
     pub max_conns: usize,
-    /// Dispatch worker threads (`DLN_NET_WORKERS`, default 2).
+    /// Worker threads for steps that find the admission gate full
+    /// (`DLN_NET_WORKERS`, default 2).
     pub workers: usize,
     /// Idle connection TTL in clock-ms; 0 disables the sweep
     /// (`DLN_NET_IDLE_TTL_MS`, default 0).
@@ -144,8 +154,12 @@ pub struct NetStats {
     pub accepted: AtomicU64,
     /// Accepts shed at the `max_conns` cap.
     pub shed_accepts: AtomicU64,
-    /// Requests dispatched through the worker pool (cache hits included).
+    /// Requests dispatched, inline or through the worker pool (cache hits
+    /// included).
     pub requests: AtomicU64,
+    /// Requests handed to the worker pool because the admission gate had
+    /// no free permit for them.
+    pub pooled: AtomicU64,
     /// Step retries answered from the exactly-once cache.
     pub dedup_hits: AtomicU64,
     /// Connections torn down by error, EOF, failpoint, or idle TTL.
@@ -154,14 +168,15 @@ pub struct NetStats {
     pub idle_reaped: AtomicU64,
 }
 
-/// One request in flight from reactor to worker pool.
+/// One decoded request: served inline on the reactor, or in flight from
+/// the reactor to the worker pool.
 struct Job {
     token: u64,
     seq: u64,
     req: ApiRequest,
 }
 
-/// One finished dispatch on its way back to the reactor.
+/// One finished dispatch, applied to its conn by the reactor.
 struct Completion {
     token: u64,
     /// Fully framed response bytes; `None` when `drop_conn` is set.
@@ -281,7 +296,7 @@ impl NetServer {
         &self.stats
     }
 
-    /// Graceful shutdown: stop accepting, drain in-flight dispatches,
+    /// Graceful shutdown: stop accepting, drain pooled dispatches,
     /// flush pending responses, finalize every connection's sessions into
     /// the navigation log, then join the reactor and workers.
     pub fn shutdown(mut self) {
@@ -438,8 +453,8 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // already torn down this tick
         };
-        if ev.writable && conn.state == ConnState::Writing {
-            self.flush(token);
+        if ev.writable && conn.state == ConnState::Writing && self.flush(token) {
+            self.serve_buffered(token);
         }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -463,40 +478,80 @@ impl Reactor {
         }
         match conn.read_ready(self.config.max_frame_len, now) {
             ReadOutcome::Incomplete => {}
-            ReadOutcome::Frame(payload) => self.dispatch_frame(token, payload),
+            ReadOutcome::Frame(payload) => {
+                if self.dispatch_frame(token, payload) {
+                    self.serve_buffered(token);
+                }
+            }
             ReadOutcome::Eof => self.teardown(token, false),
             ReadOutcome::Broken(_e) => self.teardown(token, false),
         }
     }
 
-    fn dispatch_frame(&mut self, token: u64, payload: Vec<u8>) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
+    /// Serve one request frame. It runs inline, here on the reactor,
+    /// whenever it needs no admission permit or one is free; only a `Step`
+    /// that finds the gate full parks the conn and goes to the worker
+    /// pool, where `dispatch` queues in the gate. Returns true when the
+    /// response is written in full and the conn is idle again.
+    fn dispatch_frame(&mut self, token: u64, payload: Vec<u8>) -> bool {
         let (seq, req) = match wire::decode_request(&payload, "net request") {
             Ok(x) => x,
             Err(_) => {
                 // Framing held but the payload is garbage: unrecoverable
                 // for this conn (we cannot even answer with the right seq).
                 self.teardown(token, false);
-                return;
+                return false;
             }
         };
-        conn.state = ConnState::Dispatching;
-        // Park the descriptor: level-triggered READ on bytes we refuse to
-        // parse mid-dispatch would spin the loop.
-        let fd = conn.stream.as_raw_fd();
-        let _ = self.poller.modify(fd, token, Interest::NONE);
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        if self.job_tx.send(Job { token, seq, req }).is_err() {
+        let job = Job { token, seq, req };
+        let svc = &self.svc;
+        if let Some(c) = serve_one(&self.cache, &self.stats, &job, |req| svc.try_dispatch(req)) {
+            return self.apply_completion(c);
+        }
+        // Gate full: park the descriptor — level-triggered READ on bytes
+        // we refuse to parse mid-dispatch would spin the loop.
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.state = ConnState::Dispatching;
+        }
+        self.set_interest(token, Interest::NONE);
+        self.stats.pooled.fetch_add(1, Ordering::Relaxed);
+        if self.job_tx.send(job).is_err() {
             self.teardown(token, false);
+        }
+        false
+    }
+
+    /// Serve the pipelined requests already buffered on an idle conn, one
+    /// after another, until one goes to the pool, a write blocks, or no
+    /// complete frame is left. A loop rather than recursion through
+    /// `flush`, so a burst of frames cannot grow the reactor's stack.
+    fn serve_buffered(&mut self, token: u64) {
+        loop {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            match conn.next_buffered_frame(self.config.max_frame_len) {
+                ReadOutcome::Frame(payload) => {
+                    if !self.dispatch_frame(token, payload) {
+                        return;
+                    }
+                }
+                ReadOutcome::Broken(_) => {
+                    self.teardown(token, false);
+                    return;
+                }
+                _ => return,
+            }
         }
     }
 
-    fn flush(&mut self, token: u64) {
+    /// Flush the queued response. Returns true when it is out in full and
+    /// the conn is idle (interest READ) again.
+    fn flush(&mut self, token: u64) -> bool {
         let now = self.now();
         let Some(conn) = self.conns.get_mut(&token) else {
-            return;
+            return false;
         };
         let chunk = if failpoints::should_fail(FP_WRITE_PARTIAL) {
             1
@@ -505,31 +560,69 @@ impl Reactor {
         };
         match conn.write_ready(now, chunk) {
             Ok(true) => {
-                let close = conn.close_after_write;
-                let fd = conn.stream.as_raw_fd();
-                if close {
+                if conn.close_after_write {
                     self.teardown(token, false);
-                    return;
+                    return false;
                 }
-                let _ = self.poller.modify(fd, token, Interest::READ);
-                // Pipelined bytes may already hold the next request.
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    match conn.next_buffered_frame(self.config.max_frame_len) {
-                        ReadOutcome::Frame(payload) => self.dispatch_frame(token, payload),
-                        ReadOutcome::Broken(_) => self.teardown(token, false),
-                        _ => {}
-                    }
-                }
+                self.set_interest(token, Interest::READ);
+                true
             }
             Ok(false) => {
-                let fd = conn.stream.as_raw_fd();
-                let _ = self.poller.modify(fd, token, Interest::WRITE);
+                self.set_interest(token, Interest::WRITE);
+                false
             }
-            Err(_) => self.teardown(token, false),
+            Err(_) => {
+                self.teardown(token, false);
+                false
+            }
         }
     }
 
-    // -- completions from the worker pool ---------------------------------
+    /// Point the conn's registration at `interest`, skipping the syscall
+    /// when it already is: an inline dispatch whose response flushes at
+    /// once never leaves READ.
+    fn set_interest(&mut self, token: u64, interest: Interest) {
+        if let Some(conn) = self.conns.get_mut(&token) {
+            if conn.interest != interest {
+                conn.interest = interest;
+                let _ = self.poller.modify(conn.stream.as_raw_fd(), token, interest);
+            }
+        }
+    }
+
+    // -- completions ------------------------------------------------------
+
+    /// Apply one finished dispatch — inline or from the pool — to its
+    /// conn: session bookkeeping, then queue and flush the response.
+    /// Returns true when the response is out in full and the conn is idle.
+    fn apply_completion(&mut self, c: Completion) -> bool {
+        let Some(conn) = self.conns.get_mut(&c.token) else {
+            // The conn died while its request was in flight (torn read,
+            // idle reap). Session bookkeeping still applies to nothing —
+            // the session itself lives in the registry and will be
+            // reclaimed by the service TTL sweep.
+            return false;
+        };
+        if let Some(sid) = c.opened {
+            conn.sessions.insert(sid);
+        }
+        if let Some(sid) = c.closed {
+            conn.sessions.remove(&sid);
+        }
+        if c.drop_conn {
+            // net.conn_drop: the response exists in the dedup cache but
+            // the conn dies before the write.
+            self.teardown(c.token, false);
+            return false;
+        }
+        match c.framed {
+            Some(framed) => {
+                conn.queue_response(framed);
+                self.flush(c.token)
+            }
+            None => false,
+        }
+    }
 
     fn apply_completions(&mut self) {
         let batch: Vec<Completion> = {
@@ -540,28 +633,9 @@ impl Reactor {
             std::mem::take(&mut *q)
         };
         for c in batch {
-            let Some(conn) = self.conns.get_mut(&c.token) else {
-                // The conn died while its request was in flight (torn
-                // read, idle reap). Session bookkeeping still applies to
-                // nothing — the session itself lives in the registry and
-                // will be reclaimed by the service TTL sweep.
-                continue;
-            };
-            if let Some(sid) = c.opened {
-                conn.sessions.insert(sid);
-            }
-            if let Some(sid) = c.closed {
-                conn.sessions.remove(&sid);
-            }
-            if c.drop_conn {
-                // net.conn_drop: the response exists in the dedup cache
-                // but the conn dies before the write.
-                self.teardown(c.token, false);
-                continue;
-            }
-            if let Some(framed) = c.framed {
-                conn.queue_response(framed);
-                self.flush(c.token);
+            let token = c.token;
+            if self.apply_completion(c) {
+                self.serve_buffered(token);
             }
         }
     }
@@ -664,15 +738,24 @@ fn worker_loop(
             guard.recv()
         };
         let Ok(job) = job else { break };
-        let completion = serve_one(&svc, &cache, &stats, job);
+        let completion = serve_one(&cache, &stats, &job, |req| Some(svc.dispatch(req)));
         if let Ok(mut q) = completions.lock() {
-            q.push(completion);
+            q.extend(completion);
         }
         waker.wake();
     }
 }
 
-fn serve_one(svc: &NavService, cache: &Cache, stats: &NetStats, job: Job) -> Completion {
+/// Serve one request: replay a cached step response, or run `dispatch`
+/// and frame what it returns. `None` only when `dispatch` declines (the
+/// inline path found the admission gate full); nothing has run then, so
+/// the job can go to the worker pool unchanged.
+fn serve_one(
+    cache: &Cache,
+    stats: &NetStats,
+    job: &Job,
+    dispatch: impl FnOnce(&ApiRequest) -> Option<ApiResponse>,
+) -> Option<Completion> {
     let mut completion = Completion {
         token: job.token,
         framed: None,
@@ -693,13 +776,13 @@ fn serve_one(svc: &NavService, cache: &Cache, stats: &NetStats, job: Job) -> Com
                 if *seq == job.seq {
                     stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
                     completion.framed = Some(framed.clone());
-                    return completion;
+                    return Some(completion);
                 }
             }
         }
     }
 
-    let resp = svc.dispatch(&job.req);
+    let resp = dispatch(&job.req)?;
 
     // Session bookkeeping for graceful-shutdown finalization.
     match (&job.req, &resp) {
@@ -734,7 +817,7 @@ fn serve_one(svc: &NavService, cache: &Cache, stats: &NetStats, job: Job) -> Com
         if !gone && failpoints::should_fail_keyed(FP_CONN_DROP, session.0 ^ job.seq.rotate_left(32))
         {
             completion.drop_conn = true;
-            return completion;
+            return Some(completion);
         }
     }
     if let (ApiRequest::Close { session }, ApiResponse::Closed { .. }) = (&job.req, &resp) {
@@ -744,5 +827,5 @@ fn serve_one(svc: &NavService, cache: &Cache, stats: &NetStats, job: Job) -> Com
     }
 
     completion.framed = Some(framed);
-    completion
+    Some(completion)
 }

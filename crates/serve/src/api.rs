@@ -18,7 +18,7 @@
 
 use dln_org::StateId;
 
-use crate::error::ServeError;
+use crate::error::{ServeError, ServeResult};
 use crate::registry::SessionId;
 use crate::service::{NavService, StepRequest, StepResponse};
 
@@ -210,10 +210,7 @@ impl NavService {
                 Ok(session) => ApiResponse::Opened { session },
                 Err(e) => ApiResponse::Error(WireError::from(&e)),
             },
-            ApiRequest::Step { session, req } => match self.step(*session, req) {
-                Ok(resp) => ApiResponse::Step(resp),
-                Err(e) => ApiResponse::Error(WireError::from(&e)),
-            },
+            ApiRequest::Step { session, req } => step_response(self.step(*session, req)),
             ApiRequest::Path { session } => match self.session_path(*session) {
                 Ok(path) => ApiResponse::Path {
                     session: *session,
@@ -227,6 +224,31 @@ impl NavService {
             },
         }
     }
+
+    /// [`dispatch`](Self::dispatch) without blocking in the admission
+    /// gate: a `Step` runs only if [`AdmissionGate::try_admit`] hands out
+    /// a permit now, and `None` means none was free — nothing ran, so the
+    /// caller may hand the same request to `dispatch` on a thread that can
+    /// afford to queue. `Ping`, `Open`, `Path` and `Close` never touch the
+    /// gate and always run.
+    ///
+    /// [`AdmissionGate::try_admit`]: crate::AdmissionGate::try_admit
+    pub fn try_dispatch(&self, req: &ApiRequest) -> Option<ApiResponse> {
+        match req {
+            ApiRequest::Step { session, req } => {
+                let permit = self.gate().try_admit().ok()?;
+                Some(step_response(self.step_admitted(permit, *session, req)))
+            }
+            other => Some(self.dispatch(other)),
+        }
+    }
+}
+
+fn step_response(out: ServeResult<StepResponse>) -> ApiResponse {
+    match out {
+        Ok(resp) => ApiResponse::Step(resp),
+        Err(e) => ApiResponse::Error(WireError::from(&e)),
+    }
 }
 
 #[cfg(test)]
@@ -236,6 +258,7 @@ mod tests {
     use dln_org::eval::NavConfig;
     use dln_org::{clustering_org, OrgContext};
     use dln_synth::TagCloudConfig;
+    use std::sync::atomic::Ordering;
 
     fn service() -> NavService {
         let bench = TagCloudConfig::small().generate();
@@ -276,6 +299,39 @@ mod tests {
             }
             other => panic!("expected SessionNotFound, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn try_dispatch_declines_a_step_only_when_the_gate_is_full() {
+        let svc = service();
+        let ApiResponse::Opened { session } = svc.dispatch(&ApiRequest::Open { fault_key: 7 })
+        else {
+            panic!("open refused on a fresh service");
+        };
+        let step = ApiRequest::Step {
+            session,
+            req: StepRequest::action(StepAction::Stay),
+        };
+        let held: Vec<_> = (0..svc.config().max_concurrency)
+            .map(|_| svc.gate().admit().unwrap())
+            .collect();
+        assert!(svc.try_dispatch(&step).is_none(), "no permit, no step");
+        assert!(matches!(
+            svc.try_dispatch(&ApiRequest::Ping),
+            Some(ApiResponse::Pong)
+        ));
+        assert!(matches!(
+            svc.try_dispatch(&ApiRequest::Path { session }),
+            Some(ApiResponse::Path { .. })
+        ));
+        assert_eq!(svc.stats().requests.load(Ordering::Relaxed), 0);
+        assert_eq!(svc.stats().overloaded.load(Ordering::Relaxed), 0);
+        drop(held);
+        let Some(ApiResponse::Step(view)) = svc.try_dispatch(&step) else {
+            panic!("a free gate admits the step");
+        };
+        assert_eq!(view.session, session);
+        assert_eq!(svc.gate().active(), 0, "the permit is released");
     }
 
     #[test]

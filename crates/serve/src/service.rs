@@ -5,6 +5,8 @@
 //!
 //! 1. **Admission** — acquire a permit from the [`AdmissionGate`]; shed
 //!    with a typed `Overloaded` if the bounded queue is full.
+//!    [`NavService::try_dispatch`] instead takes a permit only if one is
+//!    free now, for callers that must not block.
 //! 2. **Session lookup** — TTL-checked; expired sessions are evicted on
 //!    sight (their logs merged, never lost) and reported as typed
 //!    `SessionExpired`.
@@ -40,7 +42,7 @@ use dln_org::{
 
 use crate::clock::{Clock, WallClock};
 use crate::error::{ServeError, ServeResult};
-use crate::gate::AdmissionGate;
+use crate::gate::{AdmissionGate, Permit};
 use crate::registry::{lock, EvictedSession, SessionId, SessionRegistry};
 use crate::snapshot::{replay_path, OrgSnapshot, SnapshotStore};
 
@@ -636,13 +638,26 @@ impl NavService {
 
     /// One navigation step. See the module docs for the lifecycle.
     pub fn step(&self, id: SessionId, req: &StepRequest) -> ServeResult<StepResponse> {
-        let _permit = match self.gate.admit() {
+        let permit = match self.gate.admit() {
             Ok(p) => p,
             Err(e) => {
                 bump!(self.stats, overloaded);
                 return Err(e);
             }
         };
+        self.step_admitted(permit, id, req)
+    }
+
+    /// The step itself, run under an admission permit already acquired —
+    /// blocking by [`step`](Self::step), non-blocking by
+    /// [`try_dispatch`](Self::try_dispatch). The permit is held until the
+    /// response is rendered.
+    pub(crate) fn step_admitted(
+        &self,
+        _permit: Permit<'_>,
+        id: SessionId,
+        req: &StepRequest,
+    ) -> ServeResult<StepResponse> {
         let t0 = self.clock.now();
         bump!(self.stats, requests);
 

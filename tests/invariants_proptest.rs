@@ -366,6 +366,11 @@ fn sharded_one_shard_is_bit_identical_across_seeds() {
     // Sharding-PR property (a): `shards = 1` routes through the ordinary
     // clustering + optimize path bit-for-bit — same arena, same tags, same
     // edges, same unit topics — whatever the lake and search seeds.
+    //
+    // Hold the disarmed scope guard, like its neighbours: another test in
+    // this binary arms `search.kill` in the process-global registry, and a
+    // kill landing in either build would make the two diverge.
+    let _fp = dln_fault::scoped("").expect("disarm failpoints");
     let mut rng = StdRng::seed_from_u64(0x5AAD);
     for _case in 0..4 {
         let bench = TagCloudConfig {

@@ -19,6 +19,10 @@
 //!   `Overloaded` frame; garbage bytes sever exactly one connection and
 //!   leave the server healthy; idle connections are reaped on the
 //!   injected clock without touching their sessions.
+//! * **Inline dispatch and its fallback** — a burst of pipelined frames
+//!   is answered in order; a step that finds the admission gate full goes
+//!   to the worker pool and still answers bit-identically, while requests
+//!   that need no permit keep being served on the reactor.
 //!
 //! The failpoint registry is process-global, so this suite has its own
 //! binary; the CI `net-chaos` matrix re-runs it with `DLN_FAILPOINTS`
@@ -34,6 +38,10 @@ use datalake_nav::prelude::*;
 use datalake_nav::serve::{ManualClock, ServeResult, SwapOutcome, WallClock};
 
 fn build_service() -> (NavService, OrgContext) {
+    build_service_with(ServeConfig::default())
+}
+
+fn build_service_with(cfg: ServeConfig) -> (NavService, OrgContext) {
     let bench = TagCloudConfig::small().generate();
     let ctx = OrgContext::full(&bench.lake);
     let org = clustering_org(&ctx);
@@ -41,7 +49,7 @@ fn build_service() -> (NavService, OrgContext) {
         // Wall-clock deadlines would make degradation (and thus the
         // response bits) timing-dependent; identity tests need them off.
         deadline_ms: None,
-        ..ServeConfig::default()
+        ..cfg
     };
     (
         NavService::new(ctx.clone(), org, NavConfig::default(), cfg),
@@ -455,5 +463,141 @@ fn idle_ttl_reaps_conns_but_preserves_sessions() {
         .expect("reconnect resumes the walk");
     assert_eq!(resp.depth, 1);
     client.close(sid).expect("close");
+    server.shutdown();
+}
+
+/// Pipelined frames are served one after another by a loop on the
+/// reactor: a burst of 10,000 `Ping`s written without waiting comes back
+/// as 10,000 `Pong`s in `seq` order, and the server stays healthy.
+#[test]
+fn pipelined_ping_burst_is_answered_in_order() {
+    let _fp = dln_fault::scoped("").expect("disarm failpoints");
+    use datalake_nav::net::wire;
+    use datalake_nav::serve::{ApiRequest, ApiResponse};
+    use std::io::{Read, Write};
+    const N: u64 = 10_000;
+    let (svc, _ctx) = build_service();
+    let server = start_server(Arc::new(svc), NetConfig::default());
+
+    let mut sock = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let mut burst = Vec::new();
+    for seq in 0..N {
+        wire::encode_frame(&wire::encode_request(seq, &ApiRequest::Ping), &mut burst);
+    }
+    let mut tx = sock.try_clone().expect("clone socket");
+    let writer = std::thread::spawn(move || tx.write_all(&burst).expect("send burst"));
+
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 64 * 1024];
+    let mut next = 0u64;
+    while next < N {
+        let n = sock.read(&mut chunk).expect("responses keep coming");
+        assert!(n > 0, "server closed after {next} of {N} pongs");
+        buf.extend_from_slice(&chunk[..n]);
+        let mut at = 0;
+        while let Some((payload, used)) =
+            wire::try_decode_frame(&buf[at..], wire::MAX_FRAME_LEN, "pong").expect("well-formed")
+        {
+            let (seq, resp) = wire::decode_response(payload, "pong").expect("decodes");
+            assert_eq!(seq, next, "pongs come back in request order");
+            assert!(matches!(resp, ApiResponse::Pong), "got {resp:?}");
+            next += 1;
+            at += used;
+        }
+        buf.drain(..at);
+    }
+    writer.join().expect("writer finishes");
+    assert!(buf.is_empty(), "no response beyond the {N} requested");
+
+    let mut good = test_client(server.local_addr());
+    good.ping().expect("healthy after the burst");
+    let sid = good.open().expect("open");
+    good.step(sid, &StepRequest::action(StepAction::Stay))
+        .expect("step");
+    good.close(sid).expect("close");
+    assert_eq!(server.stats().pooled.load(Ordering::Relaxed), 0);
+    server.shutdown();
+}
+
+/// The worker pool is the fallback for a full admission gate, and only
+/// that: on a quiet gate nothing is pooled; with every permit held, a
+/// wire `Step` is pooled and waits in the gate while a `Ping` on another
+/// connection is still answered inline; once the permits are released,
+/// the pooled step answers bit-identically to the same step through the
+/// library.
+#[test]
+fn full_gate_pools_the_step_and_keeps_serving_inline() {
+    let _fp = dln_fault::scoped("").expect("disarm failpoints");
+    let cfg = ServeConfig {
+        max_concurrency: 2,
+        queue_depth: 4,
+        ..ServeConfig::default()
+    };
+    let (svc_local, _ctx) = build_service_with(cfg);
+    let (svc_remote, _) = build_service_with(cfg);
+    let svc_remote = Arc::new(svc_remote);
+    let server = start_server(Arc::clone(&svc_remote), NetConfig::default());
+    let stats = server.stats();
+
+    // Library reference: root view, then descend into its first child.
+    let sid = svc_local.open_session_keyed(7).expect("local open");
+    let root = svc_local
+        .step(sid, &StepRequest::action(StepAction::Stay))
+        .expect("local root");
+    let target = root.children[0].state;
+    let local = svc_local
+        .step(sid, &StepRequest::action(StepAction::Descend(target)))
+        .expect("local descend");
+
+    // Quiet gate: open and the root view are served inline.
+    let mut client = test_client(server.local_addr());
+    let wid = client.open_keyed(7).expect("wire open");
+    let wire_root = client
+        .step(wid, &StepRequest::action(StepAction::Stay))
+        .expect("wire root");
+    assert_eq!(fingerprint(&wire_root), fingerprint(&root));
+    assert_eq!(stats.pooled.load(Ordering::Relaxed), 0, "quiet gate");
+
+    // Full gate: the descend goes to the pool and queues there.
+    let held: Vec<_> = (0..svc_remote.config().max_concurrency)
+        .map(|_| svc_remote.gate().admit().expect("free permit"))
+        .collect();
+    let waiting = std::thread::spawn(move || {
+        let resp = client.step(wid, &StepRequest::action(StepAction::Descend(target)));
+        (client, resp)
+    });
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while svc_remote.gate().waiting() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the step never reached the gate's queue"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    assert_eq!(
+        stats.pooled.load(Ordering::Relaxed),
+        1,
+        "the step is pooled"
+    );
+
+    let mut other = test_client(server.local_addr());
+    other
+        .ping()
+        .expect("a ping needs no permit and is served inline");
+    assert!(!waiting.is_finished(), "the pooled step waits for a permit");
+    assert_eq!(stats.pooled.load(Ordering::Relaxed), 1);
+
+    drop(held);
+    let (mut client, resp) = waiting.join().expect("step thread");
+    let wire = resp.expect("pooled step answers once permits are free");
+    assert_eq!(
+        fingerprint(&wire),
+        fingerprint(&local),
+        "pooled step diverged from the library step"
+    );
+    assert_eq!(stats.pooled.load(Ordering::Relaxed), 1);
+    client.close(wid).expect("close");
     server.shutdown();
 }
