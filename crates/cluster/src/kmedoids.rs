@@ -5,7 +5,7 @@
 //! * partitioning the tags of a lake into the `k` dimensions of a
 //!   multi-dimensional organization (§2.5: "we clustered the tags into N
 //!   clusters (using n-medoids)"; §4.3.4: "partitioning its tags into ten
-//!   groups using k-medoids clustering [23]");
+//!   groups using k-medoids clustering \[23\]");
 //! * selecting the attribute *representatives* for approximate evaluation
 //!   (§3.4: a one-to-one mapping between representatives and a partitioning
 //!   of attributes — the medoid of each partition is its representative).
@@ -16,7 +16,7 @@
 //! the assignment stabilizes or `max_iter` is hit.
 //!
 //! The algorithm is **matrix-free**: assignment and seeding stream
-//! [`ASSIGN_BLOCK`]-point strips through the tiled
+//! `ASSIGN_BLOCK`-point strips through the tiled
 //! [`PairwiseDistance::dist_block`] kernel (scratch is `strip × k`, never
 //! `n × n`), so fitting the full 50k-attribute lake costs kilobytes of
 //! working memory. Every streamed distance is bit-identical to the

@@ -14,7 +14,7 @@
 //! interest.
 //!
 //! **Workers** take only what the reactor could not run: a `Step` that
-//! found every permit taken becomes a [`Job`] on the worker channel, the
+//! found every permit taken becomes a `Job` on the worker channel, the
 //! connection parks in `Dispatching` (interest [`Interest::NONE`] —
 //! level-triggered polling would otherwise spin on buffered bytes we
 //! refuse to parse mid-flight), and a worker runs
@@ -46,7 +46,7 @@
 //! 2. **Admission gate**: an admitted connection's step still goes
 //!    through [`NavService`]'s semaphore; a shed there comes back as the
 //!    same first-class `Overloaded` wire frame, which the client's
-//!    [`RetryPolicy`] already honors.
+//!    [`RetryPolicy`](dln_serve::RetryPolicy) already honors.
 //! 3. **Idle TTL**: connections silent past `idle_ttl_ms` (by the
 //!    injected [`Clock`], so tests drive it manually) are dropped; their
 //!    sessions stay in the registry for the service's own TTL sweep, so a

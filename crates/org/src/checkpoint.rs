@@ -22,7 +22,7 @@
 //! write — simulated by the `checkpoint.torn` failpoint, which truncates
 //! the buffer before it reaches the filesystem — fails the checksum on
 //! load and is reported as [`DlnError::Corrupt`]. Publication goes
-//! through the shared [`crate::persist`] plumbing: [`Checkpoint::save`]
+//! through the shared [`dln_persist`] plumbing: [`Checkpoint::save`]
 //! stages to `<path>.tmp`, fsyncs, rotates the previous file to
 //! `<path>.prev` and renames into place, so
 //! [`Checkpoint::load_with_fallback`] can fall back one generation when
@@ -31,7 +31,7 @@
 //! Two fingerprints guard against resuming under the wrong conditions:
 //! the *config* fingerprint (seed, batch width, plateau/iteration budgets,
 //! acceptance parameters) and the *initial-organization* fingerprint
-//! ([`Organization::fingerprint`]) — resuming replays the op log against
+//! ([`Organization::fingerprint`](crate::graph::Organization::fingerprint)) — resuming replays the op log against
 //! the caller-provided initial organization, which must be the one the
 //! original run started from. The worker-thread count is deliberately
 //! excluded: results never depend on it.
@@ -39,9 +39,9 @@
 use std::path::{Path, PathBuf};
 
 use dln_fault::{DlnError, DlnResult};
+use dln_persist::{self as persist, Reader, Writer};
 
 use crate::ops::OpKind;
-use crate::persist::{self, Reader, Writer};
 use crate::search::IterStats;
 
 /// File magic (8 bytes, includes a format generation byte).

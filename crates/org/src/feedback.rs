@@ -23,9 +23,9 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use dln_fault::{DlnError, DlnResult};
+use dln_persist as persist;
 
 use crate::graph::{Organization, StateId};
-use crate::persist;
 
 /// Magic prefix of a serialized [`NavigationLog`].
 const LOG_MAGIC: &[u8; 8] = b"DLNAVLOG";
@@ -581,7 +581,7 @@ mod tests {
         let back = NavigationLog::load_with_fallback(&path).expect("fallback");
         assert!(logs_equal(&log, &back), "fell back to generation 1");
         // Both generations torn → Corrupt.
-        std::fs::write(crate::persist::prev_path(&path), b"junk").unwrap();
+        std::fs::write(persist::prev_path(&path), b"junk").unwrap();
         let err = NavigationLog::load_with_fallback(&path).unwrap_err();
         assert!(matches!(err, dln_fault::DlnError::Corrupt { .. }), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -33,9 +33,6 @@
 //!   (§3.4).
 //! * [`search`] — the Metropolis local-search loop (§3.3, Eq 9), with
 //!   deadline-aware, checkpointed execution and bit-identical resume.
-//! * [`persist`] — shared persistence plumbing: FNV-1a checksum framing,
-//!   atomic publish (`<path>.tmp` + fsync + rename) with `.prev`
-//!   rotation, and generation-fallback loading.
 //! * [`checkpoint`] — versioned, checksummed search checkpoints (the
 //!   crash-safety layer; see DESIGN.md §5c).
 //! * [`store`] — the persistent zero-copy organization store: a complete
@@ -68,6 +65,7 @@ pub mod bitset;
 pub mod builder;
 pub mod checkpoint;
 pub mod ctx;
+mod cycle;
 pub mod eval;
 pub mod export;
 pub mod feedback;
@@ -77,7 +75,6 @@ pub mod maintain;
 pub mod multidim;
 pub mod navigate;
 pub mod ops;
-pub mod persist;
 pub mod reopt;
 pub mod search;
 pub mod shard;

@@ -23,12 +23,12 @@
 //!    function of (change log, organization) and is durably committed
 //!    *before* any mutation, so a killed maintainer replans identically.
 //! 3. **Apply** — the served organization is cloned and rebased onto the
-//!    new tag universe ([`Organization::rebase_universe`]: slot-
+//!    new tag universe (`Organization::rebase_universe`: slot-
 //!    preserving, removed tag states tombstoned, new ones appended); only
 //!    the *affected* shards are re-searched (deadline-bounded,
 //!    checkpointed slices, one durable checkpoint per shard) and grafted;
 //!    a rebalance donor that keeps ≥ 2 labels is handled by pure edge
-//!    surgery ([`Organization::shed_tag_from_subtree`]) — no search, so a
+//!    surgery (`Organization::shed_tag_from_subtree`) — no search, so a
 //!    label migrates across shards without rebuilding both. Routing-tier
 //!    tag sets and attribute memberships are recomputed last, then the
 //!    whole organization is validated.
@@ -53,15 +53,13 @@ use std::time::Duration;
 
 use dln_fault::{DlnError, DlnResult};
 use dln_lake::{replay, ChangeEvent, ChangeLog, DataLake, TagId};
+use dln_persist as persist;
 
-use crate::bitset::BitSet;
-use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::ctx::OrgContext;
+use crate::cycle::{self, injected};
 use crate::graph::{Organization, StateId};
-use crate::init;
-use crate::persist;
 use crate::reopt::derive_cycle_seed;
-use crate::search::{self, SearchConfig, SearchStats, ShardPolicy, StopReason};
+use crate::search::{SearchConfig, SearchStats};
 use crate::shard::ShardedBuild;
 
 /// Magic prefix of the durable maintainer state file.
@@ -72,14 +70,6 @@ const STATE_VERSION: u8 = 1;
 /// Root marker of a shard whose last label left the lake. The slot id is
 /// never a valid state (organizations are far smaller than `u32::MAX`).
 pub const EMPTY_SHARD: StateId = StateId(u32::MAX);
-
-/// The typed error for an injected maintainer crash at `site`.
-fn injected(site: &str) -> DlnError {
-    DlnError::io(
-        site.to_string(),
-        std::io::Error::other(format!("injected maintainer crash at {site}")),
-    )
-}
 
 // ---------------------------------------------------------------------------
 // Durable state
@@ -134,19 +124,9 @@ fn write_labels(w: &mut persist::Writer, labels: &[Vec<String>]) {
     for shard in labels {
         w.u64(shard.len() as u64);
         for l in shard {
-            w.u32(l.len() as u32);
-            w.bytes(l.as_bytes());
+            w.str(l);
         }
     }
-}
-
-fn read_string(r: &mut persist::Reader, context: &str) -> DlnResult<String> {
-    let n = r.u32()? as usize;
-    if n > r.total_len() {
-        return Err(DlnError::corrupt(context, "implausible string length"));
-    }
-    String::from_utf8(r.take(n)?.to_vec())
-        .map_err(|_| DlnError::corrupt(context, "label is not UTF-8"))
 }
 
 fn read_labels(r: &mut persist::Reader, context: &str) -> DlnResult<Vec<Vec<String>>> {
@@ -162,7 +142,7 @@ fn read_labels(r: &mut persist::Reader, context: &str) -> DlnResult<Vec<Vec<Stri
         }
         let mut shard = Vec::with_capacity(n);
         for _ in 0..n {
-            shard.push(read_string(r, context)?);
+            shard.push(r.str()?);
         }
         out.push(shard);
     }
@@ -195,8 +175,7 @@ impl MaintState {
                 }
                 w.u64(p.moves.len() as u64);
                 for m in &p.moves {
-                    w.u32(m.label.len() as u32);
-                    w.bytes(m.label.as_bytes());
+                    w.str(&m.label);
                     w.u32(m.from);
                     w.u32(m.to);
                 }
@@ -260,7 +239,7 @@ impl MaintState {
                 }
                 let mut moves = Vec::with_capacity(n_moves);
                 for _ in 0..n_moves {
-                    let label = read_string(&mut r, context)?;
+                    let label = r.str()?;
                     let from = r.u32()?;
                     let to = r.u32()?;
                     if from as usize >= shard_roots.len() || to as usize >= shard_roots.len() {
@@ -463,28 +442,26 @@ impl<'a> Maintainer<'a> {
             .map_err(|e| DlnError::io(cfg.dir.display().to_string(), e))?;
         let log = ChangeLog::open(&cfg.cdc_base())?;
         let state_path = cfg.state_path();
-        let state = if state_path.exists() || persist::prev_path(&state_path).exists() {
-            let state = persist::load_with_fallback(&state_path, "maintainer state", |p| {
-                let bytes =
-                    std::fs::read(p).map_err(|e| DlnError::io(p.display().to_string(), e))?;
-                MaintState::decode(&bytes, &p.display().to_string())
-            })?;
-            if state.shard_roots.len() != shard_roots.len() {
+        let loaded = persist::load_if_present(&state_path, "maintainer state", |p| {
+            let bytes = std::fs::read(p).map_err(|e| DlnError::io(p.display().to_string(), e))?;
+            MaintState::decode(&bytes, &p.display().to_string())
+        })?;
+        let state = match loaded {
+            Some(state) if state.shard_roots.len() != shard_roots.len() => {
                 return Err(DlnError::InvalidConfig(format!(
                     "durable maintainer state has {} shards, caller supplied {}",
                     state.shard_roots.len(),
                     shard_roots.len()
                 )));
             }
-            state
-        } else {
-            MaintState {
+            Some(state) => state,
+            None => MaintState {
                 cycle: 0,
                 applied_seq: 0,
                 shard_labels,
                 shard_roots,
                 plan: None,
-            }
+            },
         };
         if state.applied_seq > log.last_seq() {
             return Err(DlnError::corrupt(
@@ -496,7 +473,7 @@ impl<'a> Maintainer<'a> {
                 ),
             ));
         }
-        let (lake, _) = replay(seed_lake, log.events_through(state.applied_seq));
+        let (lake, _) = replay(seed_lake, log.state().through(state.applied_seq));
         Ok(Maintainer {
             seed_lake,
             cfg,
@@ -608,7 +585,7 @@ impl<'a> Maintainer<'a> {
             ));
         }
         // Deterministic recomputation of the post-churn lake and context.
-        let (lake_next, _) = replay(self.seed_lake, self.log.events_through(plan.to_seq));
+        let (lake_next, _) = replay(self.seed_lake, self.log.state().through(plan.to_seq));
         if lake_next.n_tags() == 0 {
             return Err(DlnError::InvalidConfig(
                 "churn removed every tag; refusing to maintain an empty organization".to_string(),
@@ -697,22 +674,7 @@ impl<'a> Maintainer<'a> {
                         out.remove_edge(j, old_root);
                     }
                 } else {
-                    let mut old_interiors: Vec<StateId> = out
-                        .descendants_of(&[old_root])
-                        .into_iter()
-                        .filter(|&s| out.state(s).tag.is_none())
-                        .collect();
-                    old_interiors.sort_unstable_by_key(|s| s.0);
-                    for &s in &old_interiors {
-                        for c in out.state(s).children.clone() {
-                            out.remove_edge(s, c);
-                        }
-                        for p in out.state(s).parents.clone() {
-                            out.remove_edge(p, s);
-                        }
-                        out.set_alive(s, false);
-                        changed.push(s.0);
-                    }
+                    cycle::strip_interiors(&mut out, old_root, &mut changed);
                 }
             }
             let labels = &plan.shard_labels[si_us];
@@ -748,12 +710,23 @@ impl<'a> Maintainer<'a> {
                         })
                     })
                     .collect::<DlnResult<_>>()?;
-                let seed = derive_cycle_seed(plan.seed, self.state.cycle, si as u64);
-                let (sctx, sorg, stats) =
-                    self.run_shard_search(si_us, seed, &tags_global, &lake_next)?;
+                let sctx = OrgContext::for_tag_group(&lake_next, &tags_global);
+                let base = SearchConfig {
+                    seed: derive_cycle_seed(plan.seed, self.state.cycle, si as u64),
+                    table_weights: None,
+                    ..self.cfg.search.clone()
+                };
+                let (sorg, stats) = cycle::run_sliced_search(
+                    &sctx,
+                    &base,
+                    self.cfg.ckpt_path(si_us),
+                    self.cfg.ckpt_every,
+                    self.cfg.slice,
+                    "churn.search_kill",
+                )?;
                 searched_shards += 1;
                 search_stats.push(stats);
-                graft_subtree(&mut out, &ctx_next, &sctx, &sorg, &mut changed)?
+                cycle::graft_subtree(&mut out, &ctx_next, &sctx, &sorg, &mut changed)?
             };
             for &j in &junctions[si_us] {
                 out.add_edge(j, new_root);
@@ -819,13 +792,11 @@ impl<'a> Maintainer<'a> {
         self.save_state()?;
         self.log.compact()?;
         for si in 0..self.state.shard_roots.len() {
-            let ckpt = self.cfg.ckpt_path(si);
-            let _ = std::fs::remove_file(&ckpt);
-            let _ = std::fs::remove_file(persist::prev_path(&ckpt));
+            cycle::discard_checkpoint(&self.cfg.ckpt_path(si));
         }
         let (lake, _) = replay(
             self.seed_lake,
-            self.log.events_through(self.state.applied_seq),
+            self.log.state().through(self.state.applied_seq),
         );
         self.lake = lake;
         Ok(())
@@ -840,7 +811,7 @@ impl<'a> Maintainer<'a> {
     fn plan_cycle(&self, org: &Organization) -> DlnResult<Option<PlanState>> {
         let to_seq = self.log.last_seq();
         let has_events = to_seq > self.state.applied_seq;
-        let (lake_next, _) = replay(self.seed_lake, self.log.events_through(to_seq));
+        let (lake_next, _) = replay(self.seed_lake, self.log.state().through(to_seq));
         let n_shards = self.state.shard_labels.len();
 
         // Labels whose population (set of attributes, identified by
@@ -1009,71 +980,6 @@ impl<'a> Maintainer<'a> {
             moves,
         }))
     }
-
-    /// Run one affected shard's search to completion across deadline
-    /// slices, resuming from the shard's durable checkpoint between
-    /// slices (and across maintainer restarts). Bit-identical to one
-    /// uninterrupted run.
-    fn run_shard_search(
-        &self,
-        shard: usize,
-        seed: u64,
-        tags: &[TagId],
-        lake_next: &DataLake,
-    ) -> DlnResult<(OrgContext, Organization, SearchStats)> {
-        let sctx = OrgContext::for_tag_group(lake_next, tags);
-        let ckpt_path = self.cfg.ckpt_path(shard);
-        loop {
-            let mut sorg = init::clustering_org(&sctx);
-            let ck = if ckpt_path.exists() || persist::prev_path(&ckpt_path).exists() {
-                Checkpoint::load_with_fallback(&ckpt_path).ok()
-            } else {
-                None
-            };
-            let prior = ck
-                .as_ref()
-                .map(|c| Duration::from_nanos(c.elapsed_nanos))
-                .unwrap_or(Duration::ZERO);
-            let scfg = SearchConfig {
-                seed,
-                shards: ShardPolicy::Fixed(1),
-                table_weights: None,
-                deadline: self.cfg.slice.map(|s| prior + s),
-                checkpoint: Some(CheckpointConfig {
-                    path: ckpt_path.clone(),
-                    every_rounds: self.cfg.ckpt_every.max(1),
-                }),
-                ..self.cfg.search.clone()
-            };
-            let stats = match &ck {
-                Some(ck) => match search::resume(&sctx, &mut sorg, &scfg, ck) {
-                    Ok(stats) => stats,
-                    Err(e) => {
-                        eprintln!(
-                            "warning: maintenance checkpoint {} unusable ({e}); restarting shard search",
-                            ckpt_path.display()
-                        );
-                        let _ = std::fs::remove_file(&ckpt_path);
-                        let _ = std::fs::remove_file(persist::prev_path(&ckpt_path));
-                        sorg = init::clustering_org(&sctx);
-                        search::optimize(&sctx, &mut sorg, &scfg)
-                    }
-                },
-                None => search::optimize(&sctx, &mut sorg, &scfg),
-            };
-            match stats.stop {
-                StopReason::Deadline => {
-                    if dln_fault::should_fail("churn.search_kill") {
-                        return Err(injected("churn.search_kill"));
-                    }
-                }
-                StopReason::Killed => {
-                    return Err(injected("search.kill"));
-                }
-                _ => return Ok((sctx, sorg, stats)),
-            }
-        }
-    }
 }
 
 /// Labels whose attribute population differs between the two lakes
@@ -1108,66 +1014,10 @@ fn diff_labels(cur: &DataLake, next: &DataLake) -> HashSet<String> {
         .collect()
 }
 
-/// Graft a re-searched shard organization (over `sctx`) into `out`: tag
-/// states map onto their existing slots, interiors append as fresh slots
-/// in topological order. Unlike the re-optimizer's graft this does *not*
-/// validate — the organization stays deliberately inconsistent until the
-/// routing tier and memberships are refreshed. Junction linking is the
-/// caller's job. Returns the new shard root.
-fn graft_subtree(
-    out: &mut Organization,
-    ctx_next: &OrgContext,
-    sctx: &OrgContext,
-    sorg: &Organization,
-    changed: &mut Vec<u32>,
-) -> DlnResult<StateId> {
-    let order = sorg.topo_order().to_vec();
-    let mut map: HashMap<u32, StateId> = HashMap::with_capacity(order.len());
-    for &sid in &order {
-        let st = sorg.state(sid);
-        let mut full_tags = Vec::with_capacity(st.tags.len());
-        for lt in st.tags.iter() {
-            let Some(f) = ctx_next.local_tag(sctx.tag(lt).global) else {
-                return Err(DlnError::corrupt(
-                    "maintain.graft",
-                    format!("shard tag {lt} missing from the full context"),
-                ));
-            };
-            full_tags.push(f);
-        }
-        let mapped = if let Some(lt) = st.tag {
-            let Some(f) = ctx_next.local_tag(sctx.tag(lt).global) else {
-                return Err(DlnError::corrupt(
-                    "maintain.graft",
-                    format!("shard tag {lt} missing from the full context"),
-                ));
-            };
-            out.tag_state(f)
-        } else {
-            let bits = BitSet::from_iter_with_capacity(ctx_next.n_tags(), full_tags);
-            let ns = out.add_state(ctx_next, bits, None);
-            changed.push(ns.0);
-            ns
-        };
-        map.insert(sid.0, mapped);
-    }
-    let slot = |s: StateId| -> DlnResult<StateId> {
-        map.get(&s.0)
-            .copied()
-            .ok_or_else(|| DlnError::corrupt("maintain.graft", "unmapped shard state"))
-    };
-    for &sid in &order {
-        let parent = slot(sid)?;
-        for &c in &sorg.state(sid).children {
-            out.add_edge(parent, slot(c)?);
-        }
-    }
-    slot(sorg.root())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::ShardPolicy;
     use crate::shard::build_sharded;
     use dln_lake::{AttrChange, LakeBuilder};
     use dln_synth::TagCloudConfig;

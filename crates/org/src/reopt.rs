@@ -4,12 +4,16 @@
 //! A [`Reoptimizer`] runs *epoch-committed cycles* against a served
 //! organization:
 //!
-//! 1. **Drain** — the service's merged [`NavigationLog`] is appended to a
-//!    durable, checksummed on-disk [`EvidenceLog`] (WAL-style frames over
-//!    [`crate::persist`], atomic snapshot rotation, torn tails truncated
-//!    on recovery). The drain is *ack-after-durable*: the service only
-//!    subtracts what the evidence log reports written, so a torn append
-//!    loses nothing and a repeated drain double-counts nothing.
+//! 1. **Drain** — the service's merged [`NavigationLog`] is appended to
+//!    the durable [`EvidenceLog`]: a [`dln_persist::Wal`] whose state is
+//!    the cumulative log, so it shares the workspace's one WAL contract
+//!    with the CDC change log (torn tails truncated on recovery, a
+//!    checksum-valid frame that does not decode quarantined while every
+//!    later frame still applies). Its snapshot is `DLNEVSNP` version 2,
+//!    which carries the quarantine count. The drain is
+//!    *ack-after-durable*: the service only subtracts what the evidence
+//!    log reports written, so a torn append loses nothing and a repeated
+//!    drain double-counts nothing.
 //! 2. **Plan** — cumulative evidence is propagated through the current
 //!    organization ([`NavigationLog::blended_transitions`] over a uniform
 //!    prior) to find the shard users hit hardest; per-table demand weights
@@ -18,7 +22,8 @@
 //!    seed, weights, pre-cycle fingerprint) is durably committed before
 //!    any search work, so a crashed cycle replans to the identical plan.
 //! 3. **Search** — a deadline-bounded, checkpointed local search
-//!    ([`crate::search`]) over *only the affected shard's* tag group,
+//!    (the sliced shard search maintenance uses too) over *only the
+//!    affected shard's* tag group,
 //!    with [`SearchConfig::table_weights`] steering Eq 6 toward the
 //!    tables users actually look for. Kill-and-restart resumes from the
 //!    periodic checkpoint and converges bit-identically.
@@ -39,285 +44,68 @@
 //! [`SearchConfig::table_weights`]: crate::search::SearchConfig
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dln_fault::{DlnError, DlnResult};
 use dln_lake::{DataLake, TagId};
+use dln_persist::{self as persist, Wal, WalState};
 
-use crate::bitset::BitSet;
-use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::ctx::OrgContext;
+use crate::cycle::{self, injected};
 use crate::feedback::NavigationLog;
 use crate::graph::{Organization, StateId};
-use crate::init;
-use crate::persist;
-use crate::search::{self, SearchConfig, SearchStats, ShardPolicy, StopReason};
+use crate::search::{SearchConfig, SearchStats};
 use crate::shard::ShardedBuild;
 
-/// Magic prefix of an evidence-log snapshot file.
-const SNAP_MAGIC: &[u8; 8] = b"DLNEVSNP";
-/// Evidence-log snapshot format version.
-const SNAP_VERSION: u8 = 1;
 /// Magic prefix of the durable optimizer state file.
 const STATE_MAGIC: &[u8; 8] = b"DLNREOPT";
 /// Optimizer state format version.
 const STATE_VERSION: u8 = 1;
 
-/// The typed error for an injected optimizer crash at `site` — the
-/// in-process stand-in for `kill -9` at a phase boundary.
-fn injected(site: &str) -> DlnError {
-    DlnError::io(
-        site.to_string(),
-        std::io::Error::other(format!("injected optimizer crash at {site}")),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Evidence log
 // ---------------------------------------------------------------------------
 
-/// Durable navigation evidence: a compacted snapshot plus a WAL tail.
-///
-/// On disk this is two files derived from one base path:
-///
-/// * `<base>` — the **snapshot**: a sealed record (`DLNEVSNP`, version,
-///   last compacted sequence number, serialized [`NavigationLog`])
-///   published with [`persist::atomic_write`], so one previous generation
-///   always survives at `<base>.prev`.
-/// * `<base>.wal` — the **WAL**: appended frames, each
-///   `[len:u64][body][fnv1a(body):u64]` with `body = [seq:u64][log
-///   bytes]`, fsynced per append. A torn tail (the last frame cut short
-///   or failing its checksum) is truncated on open with a warning —
-///   everything before it is intact by construction.
-///
-/// Each committed cycle calls [`compact`](Self::compact): the cumulative
-/// log is atomically rewritten as the new snapshot (carrying the last
-/// sequence number) and the WAL is truncated. A crash between the two
-/// steps is safe: frames whose sequence number the snapshot already
-/// covers are skipped on open.
-///
-/// Fault-injection site `reopt.log_torn`: an append writes only the
-/// first ⅔ of its frame, fsyncs, and reports [`DlnError::Corrupt`] — the
-/// caller must *not* acknowledge the drain. The next append (or the next
-/// open) discards the torn tail.
-pub struct EvidenceLog {
-    snap_path: PathBuf,
-    wal_path: PathBuf,
-    cumulative: NavigationLog,
-    /// Last sequence number merged into `cumulative`.
-    last_seq: u64,
-    /// Last sequence number covered by the on-disk snapshot.
-    snap_seq: u64,
-    /// Length of the known-valid WAL prefix (bytes).
-    clean_len: u64,
-}
+/// The cumulative navigation log is the state of the evidence WAL: each
+/// frame is one drained delta, merged in on open and on append. The
+/// snapshot body is the length-prefixed encoded log.
+impl WalState for NavigationLog {
+    type Record = NavigationLog;
+    const WHAT: &'static str = "evidence";
+    const SNAP_MAGIC: &'static [u8; 8] = b"DLNEVSNP";
+    const SNAP_VERSION: u8 = 2;
+    const TORN_SITE: &'static str = "reopt.log_torn";
 
-impl EvidenceLog {
-    /// Open (or create) the evidence log rooted at `base`; torn WAL tails
-    /// are truncated, a torn snapshot falls back to `<base>.prev`.
-    pub fn open(base: &Path) -> DlnResult<EvidenceLog> {
-        let snap_path = base.to_path_buf();
-        let mut wal_os = base.as_os_str().to_os_string();
-        wal_os.push(".wal");
-        let wal_path = PathBuf::from(wal_os);
-
-        let (mut cumulative, snap_seq) =
-            if snap_path.exists() || persist::prev_path(&snap_path).exists() {
-                persist::load_with_fallback(&snap_path, "evidence snapshot", Self::load_snapshot)?
-            } else {
-                (NavigationLog::new(), 0)
-            };
-
-        let mut last_seq = snap_seq;
-        let mut clean_len = 0u64;
-        if wal_path.exists() {
-            let bytes = std::fs::read(&wal_path)
-                .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-            let context = wal_path.display().to_string();
-            let mut pos = 0usize;
-            loop {
-                if pos + 8 > bytes.len() {
-                    break; // clean end or torn length word
-                }
-                let len = u64::from_le_bytes(
-                    bytes[pos..pos + 8]
-                        .try_into()
-                        .map_err(|_| DlnError::corrupt(&context, "frame length"))?,
-                ) as usize;
-                let Some(frame_end) = pos
-                    .checked_add(8)
-                    .and_then(|p| p.checked_add(len))
-                    .and_then(|p| p.checked_add(8))
-                else {
-                    break; // implausible length — torn tail
-                };
-                if frame_end > bytes.len() {
-                    break; // torn tail
-                }
-                let body = &bytes[pos + 8..pos + 8 + len];
-                let stored = u64::from_le_bytes(
-                    bytes[pos + 8 + len..frame_end]
-                        .try_into()
-                        .map_err(|_| DlnError::corrupt(&context, "frame checksum"))?,
-                );
-                if persist::fnv1a(body) != stored {
-                    break; // torn or corrupt frame — truncate here
-                }
-                let mut r = persist::Reader::new(body, 0, &context);
-                let seq = r.u64()?;
-                let delta = match NavigationLog::decode(&body[r.pos()..], &context) {
-                    Ok(d) => d,
-                    Err(_) => break, // frame checksum passed but payload torn
-                };
-                if seq > snap_seq {
-                    if seq != last_seq + 1 {
-                        return Err(DlnError::corrupt(
-                            &context,
-                            format!(
-                                "evidence sequence gap: expected {}, found {seq}",
-                                last_seq + 1
-                            ),
-                        ));
-                    }
-                    cumulative.merge(&delta);
-                    last_seq = seq;
-                }
-                pos = frame_end;
-                clean_len = pos as u64;
-            }
-            if (clean_len as usize) < bytes.len() {
-                eprintln!(
-                    "warning: evidence WAL {} has a torn tail ({} of {} bytes valid); truncating",
-                    wal_path.display(),
-                    clean_len,
-                    bytes.len()
-                );
-                let f = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&wal_path)
-                    .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-                f.set_len(clean_len)
-                    .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-                f.sync_all()
-                    .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-            }
-        }
-        Ok(EvidenceLog {
-            snap_path,
-            wal_path,
-            cumulative,
-            last_seq,
-            snap_seq,
-            clean_len,
-        })
+    fn encode_record(delta: &NavigationLog) -> Vec<u8> {
+        delta.encode()
     }
 
-    fn load_snapshot(path: &Path) -> DlnResult<(NavigationLog, u64)> {
-        let bytes = std::fs::read(path).map_err(|e| DlnError::io(path.display().to_string(), e))?;
-        let context = path.display().to_string();
-        let payload = persist::verify_sealed(&bytes, &context)?;
-        let mut r = persist::Reader::new(payload, 0, &context);
-        if r.take(8)? != SNAP_MAGIC {
-            return Err(DlnError::corrupt(&context, "not an evidence snapshot"));
-        }
-        let version = r.u8()?;
-        if version != SNAP_VERSION {
-            return Err(DlnError::corrupt(
-                &context,
-                format!("unsupported evidence snapshot version {version}"),
-            ));
-        }
-        let seq = r.u64()?;
+    fn decode_record(bytes: &[u8], context: &str) -> DlnResult<NavigationLog> {
+        NavigationLog::decode(bytes, context)
+    }
+
+    fn apply(&mut self, _seq: u64, delta: &NavigationLog) {
+        self.merge(delta);
+    }
+
+    fn encode_body(&self, w: &mut persist::Writer) {
+        let bytes = self.encode();
+        w.u64(bytes.len() as u64);
+        w.bytes(&bytes);
+    }
+
+    fn decode_body(r: &mut persist::Reader<'_>, _last_seq: u64) -> DlnResult<NavigationLog> {
         let n = r.len_prefix()?;
-        let log = NavigationLog::decode(r.take(n)?, &context)?;
-        Ok((log, seq))
-    }
-
-    /// Durably append one drained delta, returning its sequence number.
-    /// The frame is fsynced before this returns `Ok`; on any error
-    /// (including the injected `reopt.log_torn` tear) nothing is
-    /// acknowledged and the write is discarded by the next append.
-    pub fn append(&mut self, delta: &NavigationLog) -> DlnResult<u64> {
-        let seq = self.last_seq + 1;
-        let log_bytes = delta.encode();
-        let mut body = Vec::with_capacity(8 + log_bytes.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&log_bytes);
-        let mut frame = Vec::with_capacity(16 + body.len());
-        frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&persist::fnv1a(&body).to_le_bytes());
-
-        let torn = dln_fault::should_fail("reopt.log_torn");
-        let write_len = if torn {
-            frame.len() * 2 / 3
-        } else {
-            frame.len()
-        };
-        let io_err = |e| DlnError::io(self.wal_path.display().to_string(), e);
-        let mut f = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&self.wal_path)
-            .map_err(io_err)?;
-        // Discard any torn tail a previous failed append left behind.
-        f.set_len(self.clean_len).map_err(io_err)?;
-        f.seek(SeekFrom::Start(self.clean_len)).map_err(io_err)?;
-        f.write_all(&frame[..write_len]).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        if torn {
-            return Err(DlnError::corrupt(
-                self.wal_path.display().to_string(),
-                "injected torn evidence append (reopt.log_torn)",
-            ));
-        }
-        self.clean_len += frame.len() as u64;
-        self.last_seq = seq;
-        self.cumulative.merge(delta);
-        Ok(seq)
-    }
-
-    /// Atomically fold the WAL into the snapshot and truncate it. Crash
-    /// between the two steps is safe: already-compacted frames are
-    /// skipped by sequence number on the next open.
-    pub fn compact(&mut self) -> DlnResult<()> {
-        let log_bytes = self.cumulative.encode();
-        let mut w = persist::Writer::with_capacity(8 + 1 + 8 + 8 + log_bytes.len() + 8);
-        w.bytes(SNAP_MAGIC);
-        w.u8(SNAP_VERSION);
-        w.u64(self.last_seq);
-        w.u64(log_bytes.len() as u64);
-        w.bytes(&log_bytes);
-        persist::atomic_write(&self.snap_path, &w.seal())?;
-        self.snap_seq = self.last_seq;
-        let io_err = |e| DlnError::io(self.wal_path.display().to_string(), e);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&self.wal_path)
-            .map_err(io_err)?;
-        f.set_len(0).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        self.clean_len = 0;
-        Ok(())
-    }
-
-    /// All evidence ever durably drained (snapshot ∪ valid WAL frames).
-    pub fn cumulative(&self) -> &NavigationLog {
-        &self.cumulative
-    }
-
-    /// Sequence number of the last durably appended frame.
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
+        NavigationLog::decode(r.take(n)?, r.context())
     }
 }
+
+/// Durable navigation evidence: the cumulative [`NavigationLog`] as a
+/// sealed snapshot plus a WAL of drained deltas. Each committed cycle
+/// compacts it. The `reopt.log_torn` failpoint tears an append, which
+/// the caller must then *not* acknowledge.
+pub type EvidenceLog = Wal<NavigationLog>;
 
 // ---------------------------------------------------------------------------
 // Durable cycle state
@@ -618,24 +406,22 @@ impl<'a> Reoptimizer<'a> {
         std::fs::create_dir_all(&cfg.dir)
             .map_err(|e| DlnError::io(cfg.dir.display().to_string(), e))?;
         let evidence = EvidenceLog::open(&cfg.evidence_base())?;
-        let state_path = cfg.state_path();
-        let state = if state_path.exists() || persist::prev_path(&state_path).exists() {
-            let state =
-                persist::load_with_fallback(&state_path, "optimizer state", ReoptState::load)?;
-            if state.shard_roots.len() != shard_tags.len() {
+        let loaded =
+            persist::load_if_present(&cfg.state_path(), "optimizer state", ReoptState::load)?;
+        let state = match loaded {
+            Some(state) if state.shard_roots.len() != shard_tags.len() => {
                 return Err(DlnError::InvalidConfig(format!(
                     "durable optimizer state has {} shards, caller supplied {}",
                     state.shard_roots.len(),
                     shard_tags.len()
                 )));
             }
-            state
-        } else {
-            ReoptState {
+            Some(state) => state,
+            None => ReoptState {
                 cycle: 0,
                 shard_roots,
                 plan: None,
-            }
+            },
         };
         Ok(Reoptimizer {
             lake,
@@ -686,7 +472,7 @@ impl<'a> Reoptimizer<'a> {
 
     /// All durably drained evidence.
     pub fn evidence(&self) -> &NavigationLog {
-        self.evidence.cumulative()
+        self.evidence.state()
     }
 
     /// Durably append a drained service-log delta to the evidence log.
@@ -727,7 +513,20 @@ impl<'a> Reoptimizer<'a> {
                 "served organization diverged from the planned cycle; refusing to graft",
             ));
         }
-        let (sctx, sorg, stats) = self.run_shard_search(&plan)?;
+        let sctx = OrgContext::for_tag_group(self.lake, &plan.tags);
+        let base = SearchConfig {
+            seed: plan.seed,
+            table_weights: Some(plan.weights.clone()),
+            ..self.cfg.search.clone()
+        };
+        let (sorg, stats) = cycle::run_sliced_search(
+            &sctx,
+            &base,
+            self.cfg.ckpt_path(),
+            self.cfg.ckpt_every,
+            self.cfg.slice,
+            "reopt.search_kill",
+        )?;
         let old_root = self.state.shard_roots[plan.shard];
         let (new_org, changed, new_root) = graft_shard(ctx, org, old_root, &sctx, &sorg)?;
         if dln_fault::should_fail("reopt.crash_mid_publish") {
@@ -763,9 +562,7 @@ impl<'a> Reoptimizer<'a> {
         self.state.cycle += 1;
         self.save_state()?;
         self.evidence.compact()?;
-        let ckpt = self.cfg.ckpt_path();
-        let _ = std::fs::remove_file(&ckpt);
-        let _ = std::fs::remove_file(persist::prev_path(&ckpt));
+        cycle::discard_checkpoint(&self.cfg.ckpt_path());
         Ok(())
     }
 
@@ -775,7 +572,7 @@ impl<'a> Reoptimizer<'a> {
     /// demand-weighted objective. Pure function of (evidence, org) — a
     /// replanned crash reproduces the identical plan.
     fn plan_cycle(&self, ctx: &OrgContext, org: &Organization) -> DlnResult<Option<PlanState>> {
-        let log = self.evidence.cumulative();
+        let log = self.evidence.state();
         if log.n_sessions() == 0 {
             return Ok(None);
         }
@@ -859,75 +656,6 @@ impl<'a> Reoptimizer<'a> {
             tags,
         }))
     }
-
-    /// Run the planned shard search to completion across deadline slices,
-    /// resuming from the durable checkpoint between slices (and across
-    /// optimizer restarts). Bit-identical to one uninterrupted run.
-    fn run_shard_search(
-        &self,
-        plan: &PlanState,
-    ) -> DlnResult<(OrgContext, Organization, SearchStats)> {
-        let sctx = OrgContext::for_tag_group(self.lake, &plan.tags);
-        let ckpt_path = self.cfg.ckpt_path();
-        loop {
-            let mut sorg = init::clustering_org(&sctx);
-            let ck = if ckpt_path.exists() || persist::prev_path(&ckpt_path).exists() {
-                Checkpoint::load_with_fallback(&ckpt_path).ok()
-            } else {
-                None
-            };
-            // The search deadline is a *total* wall-clock budget including
-            // checkpointed progress, so each slice extends it by `slice`
-            // beyond what the checkpoint already accumulated.
-            let prior = ck
-                .as_ref()
-                .map(|c| Duration::from_nanos(c.elapsed_nanos))
-                .unwrap_or(Duration::ZERO);
-            let scfg = SearchConfig {
-                seed: plan.seed,
-                shards: ShardPolicy::Fixed(1),
-                table_weights: Some(plan.weights.clone()),
-                deadline: self.cfg.slice.map(|s| prior + s),
-                checkpoint: Some(CheckpointConfig {
-                    path: ckpt_path.clone(),
-                    every_rounds: self.cfg.ckpt_every.max(1),
-                }),
-                ..self.cfg.search.clone()
-            };
-            let stats = match &ck {
-                Some(ck) => match search::resume(&sctx, &mut sorg, &scfg, ck) {
-                    Ok(stats) => stats,
-                    Err(e) => {
-                        // Stale (previous cycle) or torn checkpoint: start
-                        // this cycle's search from scratch.
-                        eprintln!(
-                            "warning: reopt checkpoint {} unusable ({e}); restarting shard search",
-                            ckpt_path.display()
-                        );
-                        let _ = std::fs::remove_file(&ckpt_path);
-                        let _ = std::fs::remove_file(persist::prev_path(&ckpt_path));
-                        sorg = init::clustering_org(&sctx);
-                        search::optimize(&sctx, &mut sorg, &scfg)
-                    }
-                },
-                None => search::optimize(&sctx, &mut sorg, &scfg),
-            };
-            match stats.stop {
-                StopReason::Deadline => {
-                    // Slice exhausted; the final checkpoint is on disk.
-                    if dln_fault::should_fail("reopt.search_kill") {
-                        return Err(injected("reopt.search_kill"));
-                    }
-                }
-                StopReason::Killed => {
-                    // `search.kill` fired at a round boundary: the crash
-                    // leaves only the last periodic checkpoint behind.
-                    return Err(injected("search.kill"));
-                }
-                _ => return Ok((sctx, sorg, stats)),
-            }
-        }
-    }
 }
 
 /// Derive the per-cycle search seed from the base seed (splitmix-style
@@ -942,14 +670,10 @@ pub fn derive_cycle_seed(base: u64, cycle: u64, shard: u64) -> u64 {
 }
 
 /// Graft a re-optimized shard organization (over `sctx`) back into the
-/// full organization, replacing the subtree under `old_root`:
-///
-/// 1. the old shard interiors (everything under `old_root` except the
-///    tag states) are edge-stripped and tombstoned;
-/// 2. the new shard's states are mapped in — tag states onto their
-///    existing full-organization slots (so untouched paths stay valid
-///    verbatim), interiors appended as fresh slots in topological order;
-/// 3. the junction parents of `old_root` are re-linked to the new root.
+/// full organization, replacing the subtree under `old_root`: strip and
+/// tombstone the old shard interiors, graft the new shard in (tag states
+/// keep their slots, interiors are appended), re-link the junction
+/// parents of `old_root` to the new root, and validate.
 ///
 /// Deterministic: the same inputs produce the same slots, edges and
 /// fingerprint — which is what makes a crash between graft and publish
@@ -975,61 +699,9 @@ fn graft_shard(
             "shard root has no junction parents",
         ));
     }
-    let mut old_interiors: Vec<StateId> = out
-        .descendants_of(&[old_root])
-        .into_iter()
-        .filter(|&s| out.state(s).tag.is_none())
-        .collect();
-    old_interiors.sort_unstable_by_key(|s| s.0);
     let mut changed: Vec<u32> = Vec::new();
-    for &s in &old_interiors {
-        for c in out.state(s).children.clone() {
-            out.remove_edge(s, c);
-        }
-        for p in out.state(s).parents.clone() {
-            out.remove_edge(p, s);
-        }
-        out.set_alive(s, false);
-        changed.push(s.0);
-    }
-    // Map the shard organization in: tag states onto their existing
-    // full-org slots, everything else as fresh appended slots.
-    let order = sorg.topo_order().to_vec();
-    let mut map: HashMap<u32, StateId> = HashMap::with_capacity(order.len());
-    for &sid in &order {
-        let st = sorg.state(sid);
-        let mapped = if let Some(lt) = st.tag {
-            full_tag_slot(ctx, sctx, lt, &mut out)?
-        } else {
-            let mut full_tags = Vec::with_capacity(8);
-            for lt in st.tags.iter() {
-                let Some(f) = ctx.local_tag(sctx.tag(lt).global) else {
-                    return Err(DlnError::corrupt(
-                        "reopt.graft",
-                        format!("shard tag {lt} missing from the full context"),
-                    ));
-                };
-                full_tags.push(f);
-            }
-            let bits = BitSet::from_iter_with_capacity(ctx.n_tags(), full_tags);
-            let ns = out.add_state(ctx, bits, None);
-            changed.push(ns.0);
-            ns
-        };
-        map.insert(sid.0, mapped);
-    }
-    let slot = |s: StateId| -> DlnResult<StateId> {
-        map.get(&s.0)
-            .copied()
-            .ok_or_else(|| DlnError::corrupt("reopt.graft", "unmapped shard state"))
-    };
-    for &sid in &order {
-        let parent = slot(sid)?;
-        for &c in &sorg.state(sid).children {
-            out.add_edge(parent, slot(c)?);
-        }
-    }
-    let new_root = slot(sorg.root())?;
+    cycle::strip_interiors(&mut out, old_root, &mut changed);
+    let new_root = cycle::graft_subtree(&mut out, ctx, sctx, sorg, &mut changed)?;
     for &j in &junctions {
         out.add_edge(j, new_root);
     }
@@ -1040,25 +712,11 @@ fn graft_shard(
     Ok((out, changed, new_root))
 }
 
-/// The full-organization slot of shard-local tag `lt`.
-fn full_tag_slot(
-    ctx: &OrgContext,
-    sctx: &OrgContext,
-    lt: u32,
-    out: &mut Organization,
-) -> DlnResult<StateId> {
-    let Some(f) = ctx.local_tag(sctx.tag(lt).global) else {
-        return Err(DlnError::corrupt(
-            "reopt.graft",
-            format!("shard tag {lt} missing from the full context"),
-        ));
-    };
-    Ok(out.tag_state(f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init;
+    use crate::search::{self, ShardPolicy};
     use crate::shard::build_sharded;
     use dln_synth::TagCloudConfig;
 
@@ -1085,60 +743,45 @@ mod tests {
         ev.append(&sample_delta(1)).expect("append 1");
         ev.append(&sample_delta(2)).expect("append 2");
         assert_eq!(ev.last_seq(), 2);
-        assert_eq!(ev.cumulative().n_sessions(), 2);
+        assert_eq!(ev.state().n_sessions(), 2);
         // Reopen: WAL replays.
         let ev2 = EvidenceLog::open(&base).expect("reopen");
         assert_eq!(ev2.last_seq(), 2);
-        assert_eq!(ev2.cumulative().encode(), ev.cumulative().encode());
-        // Compact, append more, reopen: snapshot + newer frames.
+        assert_eq!(ev2.state().encode(), ev.state().encode());
+        // Compact, append more, reopen: snapshot + newer frames merge
+        // into one cumulative log.
         ev.compact().expect("compact");
         ev.append(&sample_delta(3)).expect("append 3");
         let ev3 = EvidenceLog::open(&base).expect("reopen after compact");
         assert_eq!(ev3.last_seq(), 3);
-        assert_eq!(ev3.cumulative().encode(), ev.cumulative().encode());
+        assert_eq!(ev3.state().n_sessions(), 3);
+        assert_eq!(ev3.state().encode(), ev.state().encode());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn torn_wal_tail_is_truncated_without_losing_acked_frames() {
-        // Scoped failpoint guards serialize on one global lock, so they
-        // are taken strictly sequentially, never nested.
-        let dir = tmp("evtorn");
+    fn undecodable_evidence_frame_is_quarantined_without_losing_later_frames() {
+        // Acked frame 1, a checksum-valid frame 2 whose payload is junk,
+        // acked frame 3: reopening must keep frame 3 and the file intact.
+        let dir = tmp("evquarantine");
         let base = dir.join("evidence");
-        let acked;
-        let mut ev;
-        {
-            let _clean = dln_fault::scoped("").expect("clean scope");
-            ev = EvidenceLog::open(&base).expect("open");
-            ev.append(&sample_delta(1)).expect("append 1");
-            acked = ev.cumulative().encode();
-        }
-        // Injected torn append: errors, nothing acknowledged.
-        {
-            let _torn = dln_fault::scoped("reopt.log_torn:1.0:0").expect("torn scope");
-            let err = ev.append(&sample_delta(2)).unwrap_err();
-            assert!(matches!(err, DlnError::Corrupt { .. }), "{err}");
-        }
-        assert_eq!(ev.last_seq(), 1, "torn append not acked");
-        {
-            let _clean = dln_fault::scoped("").expect("clean scope");
-            // Recovery path A: the same handle appends again (tail rewound).
-            ev.append(&sample_delta(3)).expect("append after torn");
-            assert_eq!(ev.last_seq(), 2);
-        }
-        {
-            let _torn = dln_fault::scoped("reopt.log_torn:1.0:0").expect("torn scope");
-            let _ = ev.append(&sample_delta(4)).unwrap_err();
-        }
-        {
-            let _clean = dln_fault::scoped("").expect("clean scope");
-            // Recovery path B: a fresh open truncates the torn tail.
-            let ev2 = EvidenceLog::open(&base).expect("reopen over torn tail");
-            assert_eq!(ev2.last_seq(), 2, "exactly the acked frames survive");
-            let mut expect = NavigationLog::decode(&acked, "test").expect("decode");
-            expect.merge(&sample_delta(3));
-            assert_eq!(ev2.cumulative().encode(), expect.encode());
-        }
+        let _clean = dln_fault::scoped("").expect("clean scope");
+        let mut wal = persist::encode_frame(1, &sample_delta(1).encode());
+        wal.extend_from_slice(&persist::encode_frame(2, b"not a navigation log"));
+        wal.extend_from_slice(&persist::encode_frame(3, &sample_delta(3).encode()));
+        let wal_path = persist::wal_path(&base);
+        std::fs::write(&wal_path, &wal).expect("write wal");
+        let ev = EvidenceLog::open(&base).expect("open quarantines, not fails");
+        assert_eq!(ev.last_seq(), 3);
+        let mut expect = sample_delta(1);
+        expect.merge(&sample_delta(3));
+        assert_eq!(ev.state().encode(), expect.encode());
+        assert_eq!(ev.quarantined(), 1);
+        assert_eq!(
+            std::fs::read(&wal_path).expect("read wal"),
+            wal,
+            "the WAL is not truncated"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1771,7 +1771,7 @@ mod tests {
         let mut org_ck = crate::init::random_org(&ctx, 42);
         let ck_run = optimize(&ctx, &mut org_ck, &cfg);
         assert_eq!(ck_run.iter_stats, full.iter_stats);
-        for p in [path.clone(), crate::persist::prev_path(&path)] {
+        for p in [path.clone(), dln_persist::prev_path(&path)] {
             let ckpt = Checkpoint::load(&p).expect("periodic checkpoint");
             assert!(ckpt.rounds() > 0);
             assert!(ckpt.n_committed_ops() <= full.accepted);

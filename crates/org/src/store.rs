@@ -29,7 +29,7 @@
 //! covered by some check), and cross-section structural invariants (CSR
 //! monotonicity, id ranges, UTF-8 labels). Any violation is a typed
 //! [`DlnError::Corrupt`]; after open, accessors are infallible slice
-//! views. Publication reuses the shared [`crate::persist`] protocol
+//! views. Publication reuses the shared [`dln_persist`] protocol
 //! (`<path>.tmp` + fsync + rename, `.prev` rotation), and the
 //! `store.torn` failpoint truncates the encoded buffer pre-write exactly
 //! like `checkpoint.torn`.
@@ -42,11 +42,11 @@ use std::path::Path;
 
 use dln_fault::{DlnError, DlnResult};
 use dln_lake::{TableId, TagId};
+use dln_persist as persist;
 
 use crate::ctx::OrgContext;
 use crate::eval::NavConfig;
 use crate::graph::{Organization, StateId};
-use crate::persist;
 use crate::view::OrgView;
 
 /// File magic (8 bytes, includes a format generation byte).

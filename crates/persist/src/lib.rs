@@ -1,5 +1,6 @@
 //! Shared persistence plumbing: checksum framing, little-endian codecs,
-//! and the atomic write / `.prev` rotation / fallback-load protocol.
+//! the atomic write / `.prev` rotation / fallback-load protocol, and the
+//! one durable write-ahead log.
 //!
 //! Every durable artifact in the workspace — search checkpoints and
 //! organization stores (`dln-org`), the feedback evidence log
@@ -15,6 +16,13 @@
 //!   unreadable or fails its checksum, the rotated previous generation is
 //!   tried; only a double failure is an error — and on a double failure
 //!   the files on disk are left byte-for-byte untouched for forensics.
+//!   [`load_if_present`] is the same load for artifacts that may not
+//!   exist yet.
+//! * **Durable logs** ([`Wal`]): a sealed snapshot plus a framed,
+//!   fsync-per-append WAL, with torn-tail truncation, a typed error on a
+//!   sequence gap, and one quarantine policy for checksum-valid frames
+//!   that do not decode. The CDC change log and the evidence log are
+//!   both a [`Wal`] over their own [`WalState`].
 //!
 //! [`Writer`] and [`Reader`] are the little-endian codec halves used by
 //! the record-style formats; the store's fixed-width section format uses
@@ -26,6 +34,10 @@
 use std::path::{Path, PathBuf};
 
 use dln_fault::{DlnError, DlnResult};
+
+mod wal;
+
+pub use wal::{encode_frame, wal_path, Wal, WalState};
 
 /// FNV-1a 64 over a byte slice — the integrity checksum used by every
 /// on-disk artifact in this workspace (and by the organization
@@ -109,6 +121,20 @@ pub fn load_with_fallback<T>(
     }
 }
 
+/// [`load_with_fallback`] for an artifact that may not exist yet: `None`
+/// when neither `path` nor `<path>.prev` is on disk.
+pub fn load_if_present<T>(
+    path: &Path,
+    what: &str,
+    load: impl Fn(&Path) -> DlnResult<T>,
+) -> DlnResult<Option<T>> {
+    if path.exists() || prev_path(path).exists() {
+        load_with_fallback(path, what, load).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
 /// Little-endian record encoder. The caller appends fields in order and
 /// finishes with [`Writer::seal`], which appends the FNV-1a checksum of
 /// every preceding byte.
@@ -134,6 +160,11 @@ impl Writer {
     /// Append a little-endian u64.
     pub fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    /// Append a string as a u32 byte length followed by its UTF-8 bytes.
+    pub fn str(&mut self, v: &str) {
+        self.u32(v.len() as u32);
+        self.bytes(v.as_bytes());
     }
     /// Append the FNV-1a checksum of everything written so far and return
     /// the finished buffer.
@@ -174,6 +205,11 @@ impl<'a> Reader<'a> {
         self.bytes.len()
     }
 
+    /// The source name errors are attributed to.
+    pub fn context(&self) -> &'a str {
+        self.context
+    }
+
     /// Take the next `n` raw bytes.
     pub fn take(&mut self, n: usize) -> DlnResult<&'a [u8]> {
         if self.pos + n > self.bytes.len() {
@@ -201,6 +237,16 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
+    }
+    /// Read a string written by [`Writer::str`]: the length is bounded by
+    /// the buffer and the bytes must be UTF-8.
+    pub fn str(&mut self) -> DlnResult<String> {
+        let n = self.u32()? as usize;
+        if n > self.bytes.len() {
+            return Err(DlnError::corrupt(self.context, "implausible string length"));
+        }
+        String::from_utf8(self.take(n)?.to_vec())
+            .map_err(|_| DlnError::corrupt(self.context, "string is not valid UTF-8"))
     }
     /// Read a length prefix, sanity-bounded so a corrupt-but-checksummed
     /// length cannot trigger a giant allocation.
@@ -269,6 +315,25 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.u8().unwrap(), 3);
         assert_eq!(r.pos(), payload.len());
+    }
+
+    #[test]
+    fn str_roundtrip_and_rejections() {
+        let mut w = Writer::with_capacity(16);
+        w.str("héllo");
+        w.str("");
+        let buf = w.seal();
+        // u32 length, then the raw UTF-8 bytes.
+        assert_eq!(&buf[..4], &6u32.to_le_bytes());
+        assert_eq!(&buf[4..10], "héllo".as_bytes());
+        let mut r = Reader::new(&buf, 0, "test");
+        assert_eq!(r.str().unwrap(), "héllo");
+        assert_eq!(r.str().unwrap(), "");
+        // A length past the buffer and invalid UTF-8 are typed Corrupt.
+        let mut r = Reader::new(&[0xFF, 0xFF, 0xFF, 0x7F], 0, "test");
+        assert!(matches!(r.str(), Err(DlnError::Corrupt { .. })));
+        let mut r = Reader::new(&[2, 0, 0, 0, 0xC3, 0x28], 0, "test");
+        assert!(matches!(r.str(), Err(DlnError::Corrupt { .. })));
     }
 
     #[test]
@@ -368,6 +433,24 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), newest_before);
         assert_eq!(std::fs::read(prev_path(&path)).unwrap(), prev_before);
         assert!(!dir.join("artifact.bin.tmp").exists(), "no staging litter");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_if_present_is_none_without_either_generation() {
+        let dir = std::env::temp_dir().join(format!("dln_persist_lip_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("artifact.bin");
+        let load =
+            |p: &Path| std::fs::read(p).map_err(|e| DlnError::io(p.display().to_string(), e));
+        assert!(load_if_present(&path, "artifact", load).unwrap().is_none());
+        // Only the previous generation survives: it is loaded.
+        std::fs::write(prev_path(&path), b"old").unwrap();
+        assert_eq!(
+            load_if_present(&path, "artifact", load).unwrap().as_deref(),
+            Some(&b"old"[..])
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
